@@ -1,4 +1,4 @@
-//! LP engine A/B benchmark: backends × pricing × ratio test.
+//! LP engine A/B benchmark over three fixed engine configurations.
 //!
 //! Solves deterministic LPs of growing size under three engine
 //! configurations, certificate-verifying every solve:
@@ -166,7 +166,6 @@ struct Measured {
     phase1_iterations: usize,
     dual_iterations: usize,
     bound_flips: usize,
-    scaling_passes: usize,
     refactorizations: usize,
     eta_updates: usize,
     ft_spikes: usize,
@@ -174,7 +173,6 @@ struct Measured {
     harris_expansions: usize,
     lu_l_nnz: usize,
     lu_u_nnz: usize,
-    pricing_block_scans: usize,
 }
 
 fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
@@ -199,7 +197,6 @@ fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
         phase1_iterations: st.phase1_iterations,
         dual_iterations: st.dual_iterations,
         bound_flips: st.bound_flips,
-        scaling_passes: st.scaling_passes,
         refactorizations: st.refreshes,
         eta_updates: st.eta_updates,
         ft_spikes: st.ft_spikes,
@@ -207,7 +204,6 @@ fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
         harris_expansions: st.harris_expansions,
         lu_l_nnz: st.lu_l_nnz,
         lu_u_nnz: st.lu_u_nnz,
-        pricing_block_scans: st.pricing_block_scans,
     }
 }
 
@@ -220,7 +216,6 @@ fn config_json(m: &Measured) -> Json {
         ("phase1_iterations", Json::Num(m.phase1_iterations as f64)),
         ("dual_iterations", Json::Num(m.dual_iterations as f64)),
         ("bound_flips", Json::Num(m.bound_flips as f64)),
-        ("scaling_passes", Json::Num(m.scaling_passes as f64)),
         ("refactorizations", Json::Num(m.refactorizations as f64)),
         ("eta_updates", Json::Num(m.eta_updates as f64)),
         ("ft_spikes", Json::Num(m.ft_spikes as f64)),
@@ -228,10 +223,6 @@ fn config_json(m: &Measured) -> Json {
         ("harris_expansions", Json::Num(m.harris_expansions as f64)),
         ("lu_l_nnz", Json::Num(m.lu_l_nnz as f64)),
         ("lu_u_nnz", Json::Num(m.lu_u_nnz as f64)),
-        (
-            "pricing_block_scans",
-            Json::Num(m.pricing_block_scans as f64),
-        ),
     ])
 }
 

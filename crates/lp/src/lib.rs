@@ -5,8 +5,12 @@
 //! ICDCS 2019) calls Gurobi for every LP/ILP; this crate replaces it with
 //!
 //! * a **bounded-variable revised simplex** over sparse columns
-//!   ([`Problem::solve`]), and
-//! * a **branch-and-bound MILP solver** on top of it ([`solve_ilp`]).
+//!   ([`Problem::solve`]),
+//! * a **dual simplex** that reoptimizes from a warm-start [`Basis`]
+//!   after bound or right-hand-side changes
+//!   ([`Problem::solve_with_basis`]), and
+//! * a **branch-and-bound MILP solver** on top of them ([`solve_ilp`]),
+//!   used for the exact-optimum (OPT) baselines.
 //!
 //! # Quick start
 //!
@@ -38,8 +42,6 @@ mod factor;
 pub mod ilp;
 pub mod matrix;
 mod model;
-pub mod mps;
-mod presolve;
 mod simplex;
 mod solution;
 pub mod verify;
@@ -47,9 +49,6 @@ pub mod verify;
 pub use error::SolveError;
 pub use ilp::{solve_ilp, solve_ilp_with_start, IlpOptions, IlpSolution, IlpStatus};
 pub use model::{Problem, Relation, RowId, Sense, VarId};
-pub use presolve::{
-    equilibrate, presolve, presolve_and_solve, PresolveReport, Restoration, Scaling,
-};
 pub use simplex::{Basis, BasisBackend, FactorUpdate, Pricing, RatioTest, SolveOptions};
 pub use solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
 pub use verify::{certify, Certificate};

@@ -28,14 +28,13 @@
 //!   available behind [`SolveOptions::basis`]`=
 //!   `[`BasisBackend::Dense`] for A/B validation of results and
 //!   performance.
-//! * Pricing ([`Pricing`]) is Dantzig (most violating reduced cost) on
-//!   small problems — full sweeps or rotating candidate blocks — and
-//!   **devex reference-weight pricing** by default on large ones, which
-//!   approximates steepest edge and typically cuts the pivot count on
-//!   the degenerate LPs the SPM pipeline produces. An automatic switch
-//!   to Bland's rule after a run of degenerate pivots guarantees
-//!   termination. Block rotation and devex weights are index-ordered
-//!   solver state, so results stay deterministic.
+//! * Pricing ([`Pricing`]) is Dantzig (most violating reduced cost,
+//!   full sweeps) on small problems and **devex reference-weight
+//!   pricing** by default on large ones, which approximates steepest
+//!   edge and typically cuts the pivot count on the degenerate LPs the
+//!   SPM pipeline produces. An automatic switch to Bland's rule after a
+//!   run of degenerate pivots guarantees termination. Devex weights are
+//!   index-ordered solver state, so results stay deterministic.
 //! * The ratio test is the textbook smallest-ratio rule or, under
 //!   [`RatioTest::Harris`], the Harris two-pass variant that relaxes
 //!   bounds by the feasibility tolerance and then picks the largest
@@ -66,9 +65,8 @@ pub enum BasisBackend {
 ///
 /// Every strategy declares optimality only after the full column set has
 /// been examined against the current duals, so they all return the same
-/// optima — just with different pivot sequences. Block rotation starts
-/// at block 0 and advances deterministically; devex weights are plain
-/// solver state updated in index order — results stay deterministic
+/// optima — just with different pivot sequences. Devex weights are plain
+/// solver state updated in index order, so results stay deterministic
 /// under every variant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Pricing {
@@ -79,10 +77,6 @@ pub enum Pricing {
     /// Dantzig: scan every nonbasic column on every iteration, most
     /// violating reduced cost enters.
     Full,
-    /// Dantzig over rotating candidate blocks of the given size (`0`
-    /// picks `max(256, ⌈√n⌉)`); the scan falls back to the remaining
-    /// blocks — a full sweep — before declaring optimality.
-    Partial(usize),
     /// Devex (Forrest–Goldfarb) pricing: each column carries a reference
     /// weight `γⱼ` approximating the squared steepest-edge norm, the
     /// column maximizing `dⱼ²/γⱼ` enters, and the weights are updated
@@ -133,13 +127,6 @@ pub enum FactorUpdate {
     ForrestTomlin,
 }
 
-/// Default partial-pricing block size for `n` columns: `max(256, ⌈√n⌉)`.
-/// (IEEE-754 `sqrt` is correctly rounded, so this is deterministic.)
-fn auto_block(n: usize) -> usize {
-    let r = (n as f64).sqrt().ceil() as usize;
-    r.max(256)
-}
-
 /// Tuning knobs for the simplex solver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolveOptions {
@@ -168,12 +155,6 @@ pub struct SolveOptions {
     /// Pivot update strategy for the sparse factorization; see
     /// [`FactorUpdate`].
     pub factor_update: FactorUpdate,
-    /// Equilibrate the problem (geometric-mean row/column scaling,
-    /// powers of two) before solving and unscale the solution after;
-    /// see [`crate::equilibrate`]. Off by default: scaling
-    /// changes pivot sequences, and the workspace's generated LPs are
-    /// already well-scaled.
-    pub scale: bool,
     /// Independently certify every returned solution via
     /// [`crate::verify`] (recomputed residuals, bounds, objective) and
     /// fail the solve with [`SolveError::CertificateRejected`] on
@@ -201,7 +182,6 @@ impl Default for SolveOptions {
             pricing: Pricing::Auto,
             ratio: RatioTest::Textbook,
             factor_update: FactorUpdate::ProductForm,
-            scale: false,
             verify: false,
             trace: false,
         }
@@ -238,22 +218,6 @@ impl Problem {
     ///
     /// See [`Problem::solve`].
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SolveError> {
-        if options.scale {
-            // Solve the equilibrated problem, unscale, and certify the
-            // *unscaled* point against the *original* problem — the
-            // scaled solve's own certificate says nothing about the
-            // restoration step. `scale: false` on the inner options
-            // prevents recursion.
-            let (scaled, scaling) = crate::presolve::equilibrate(self);
-            let inner = SolveOptions {
-                scale: false,
-                verify: false,
-                ..*options
-            };
-            let solution = scaling.restore(&scaled.solve_with(&inner)?);
-            self.certify_if_requested(options, &solution)?;
-            return Ok(solution);
-        }
         let mut s = Simplex::new(self, options);
         let solution = s.run()?;
         self.certify_if_requested(options, &solution)?;
@@ -279,22 +243,6 @@ impl Problem {
         options: &SolveOptions,
         warm: Option<&Basis>,
     ) -> Result<(Solution, Basis), SolveError> {
-        if options.scale {
-            // Basis snapshots carry variable *statuses*, not values, and
-            // column scales are positive, so a basis for the original
-            // problem is valid verbatim for the equilibrated one (and
-            // vice versa for the returned snapshot).
-            let (scaled, scaling) = crate::presolve::equilibrate(self);
-            let inner = SolveOptions {
-                scale: false,
-                verify: false,
-                ..*options
-            };
-            let (sol, basis) = scaled.solve_with_basis(&inner, warm)?;
-            let solution = scaling.restore(&sol);
-            self.certify_if_requested(options, &solution)?;
-            return Ok((solution, basis));
-        }
         if let Some(basis) = warm {
             let mut s = Simplex::new(self, options);
             match s.run_from_basis(basis) {
@@ -363,11 +311,7 @@ struct Simplex {
     max_iterations: usize,
     degenerate_streak: usize,
     pivots_since_refresh: usize,
-    /// Partial-pricing block size; `0` means full sweeps.
-    price_block: usize,
-    /// Block the last entering column came from; rotation resumes here.
-    price_cursor: usize,
-    /// Whether devex pricing is active (overrides `price_block`).
+    /// Whether devex pricing is active (else Dantzig full sweeps).
     devex: bool,
     /// Devex reference weights `γⱼ`, one per standard-form column.
     devex_w: Vec<f64>,
@@ -381,7 +325,6 @@ struct Simplex {
     eta_updates: usize,
     lu_l_nnz: usize,
     lu_u_nnz: usize,
-    pricing_block_scans: usize,
     devex_resets: usize,
     ft_spikes: usize,
     harris_expansions: usize,
@@ -493,16 +436,11 @@ impl Simplex {
             },
         };
         // Resolve the pricing strategy against the column count
-        // (structural + slack; phase-1 artificials are few and ride in
-        // the last block).
-        let ncols = n + m;
-        let (price_block, devex) = match opts.pricing {
-            Pricing::Full => (0, false),
-            Pricing::Devex => (0, true),
-            Pricing::Partial(0) => (auto_block(ncols), false),
-            Pricing::Partial(b) => (b, false),
-            Pricing::Auto if ncols >= AUTO_DEVEX_MIN_COLS => (0, true),
-            Pricing::Auto => (0, false),
+        // (structural + slack; phase-1 artificials are few).
+        let devex = match opts.pricing {
+            Pricing::Full => false,
+            Pricing::Devex => true,
+            Pricing::Auto => n + m >= AUTO_DEVEX_MIN_COLS,
         };
 
         Simplex {
@@ -523,8 +461,6 @@ impl Simplex {
             max_iterations,
             degenerate_streak: 0,
             pivots_since_refresh: 0,
-            price_block,
-            price_cursor: 0,
             devex,
             devex_w: Vec::new(),
             phase1_iterations: 0,
@@ -535,7 +471,6 @@ impl Simplex {
             eta_updates: 0,
             lu_l_nnz: 0,
             lu_u_nnz: 0,
-            pricing_block_scans: 0,
             devex_resets: 0,
             ft_spikes: 0,
             harris_expansions: 0,
@@ -955,13 +890,9 @@ impl Simplex {
             eta_updates: self.eta_updates,
             lu_l_nnz: self.lu_l_nnz,
             lu_u_nnz: self.lu_u_nnz,
-            pricing_block_scans: self.pricing_block_scans,
             devex_resets: self.devex_resets,
             ft_spikes: self.ft_spikes,
             harris_expansions: self.harris_expansions,
-            presolve_removed_rows: 0,
-            presolve_removed_vars: 0,
-            scaling_passes: 0,
         };
         let trace = self.take_trace();
         Ok(Solution::new(obj, x, self.iterations)
@@ -976,8 +907,6 @@ impl Simplex {
             TracePricing::Bland
         } else if self.devex {
             TracePricing::Devex
-        } else if self.price_block > 0 {
-            TracePricing::Partial
         } else {
             TracePricing::Dantzig
         }
@@ -1112,13 +1041,8 @@ impl Simplex {
     /// Under Bland's rule every column is scanned and the first improving
     /// index enters (the anti-cycling guarantee needs the global minimum
     /// index). Devex scans every column and weighs reduced costs by the
-    /// reference weights. Otherwise Dantzig pricing runs over the
-    /// configured blocks: a full sweep when `price_block == 0`, else
-    /// rotating blocks starting at the block that produced the last
-    /// entering column, wrapping through all of them — a full scan —
-    /// before optimality is declared. `pricing_block_scans` counts only
-    /// genuine partial-pricing block examinations: full sweeps (Dantzig,
-    /// devex, or Bland) contribute zero.
+    /// reference weights. Otherwise Dantzig pricing sweeps every column
+    /// and the most violating reduced cost enters.
     fn price(&mut self, bland: bool) -> PriceStep {
         self.compute_duals();
         let tol = self.opts.tol;
@@ -1134,21 +1058,7 @@ impl Simplex {
         if self.devex {
             return self.price_devex(tol);
         }
-        if self.price_block == 0 || self.price_block >= ncols {
-            return self.price_range(0, ncols, tol);
-        }
-        let nblocks = ncols.div_ceil(self.price_block);
-        for offset in 0..nblocks {
-            let blk = (self.price_cursor + offset) % nblocks;
-            let lo = blk * self.price_block;
-            let hi = (lo + self.price_block).min(ncols);
-            self.pricing_block_scans += 1;
-            if let PriceStep::Enter { col, dir } = self.price_range(lo, hi, tol) {
-                self.price_cursor = blk;
-                return PriceStep::Enter { col, dir };
-            }
-        }
-        PriceStep::Optimal
+        self.price_dantzig(tol)
     }
 
     /// Devex pricing: the nonbasic column maximizing `dⱼ²/γⱼ` enters,
@@ -1267,11 +1177,11 @@ impl Simplex {
         }
     }
 
-    /// Dantzig pricing over columns `lo..hi`: the most violating reduced
+    /// Dantzig pricing over every column: the most violating reduced
     /// cost wins, earliest index on ties.
-    fn price_range(&self, lo: usize, hi: usize, tol: f64) -> PriceStep {
+    fn price_dantzig(&self, tol: f64) -> PriceStep {
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
-        for j in lo..hi {
+        for j in 0..self.state.len() {
             let Some((dir, score)) = self.price_candidate(j, tol) else {
                 continue;
             };
@@ -1867,6 +1777,21 @@ mod tests {
         let x = p.add_var(1.0, 0.0, 1.0);
         p.add_constraint([(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
+
+        // A row with no nonzero coefficient reads `0 ≥ 3` (or `0 = 3`):
+        // its slack alone cannot absorb the right-hand side.
+        for relation in [Relation::Ge, Relation::Eq] {
+            let mut empty = Problem::new(Sense::Minimize);
+            let x = empty.add_var(1.0, 0.0, 5.0);
+            empty.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+            empty.add_constraint([], relation, 3.0);
+            assert_eq!(empty.solve().unwrap_err(), SolveError::Infeasible);
+
+            let mut zero = Problem::new(Sense::Minimize);
+            let x = zero.add_var(1.0, 0.0, 5.0);
+            zero.add_constraint([(x, 0.0)], relation, 3.0);
+            assert_eq!(zero.solve().unwrap_err(), SolveError::Infeasible);
+        }
     }
 
     #[test]
@@ -1958,6 +1883,18 @@ mod tests {
         let y = p.add_var(0.0, 0.0, f64::INFINITY);
         p.add_constraint([(x, 1.0), (y, -1.0)], Relation::Le, 1.0);
         assert_eq!(p.solve().unwrap_err(), SolveError::Unbounded);
+
+        // A profitable unbounded column that appears in no row, with and
+        // without other (bounded) rows around it.
+        let mut lone = Problem::new(Sense::Maximize);
+        lone.add_var(1.0, 0.0, f64::INFINITY);
+        assert_eq!(lone.solve().unwrap_err(), SolveError::Unbounded);
+
+        let mut q = Problem::new(Sense::Maximize);
+        let x = q.add_var(2.0, 0.0, f64::INFINITY);
+        q.add_var(1.0, 0.0, f64::INFINITY);
+        q.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        assert_eq!(q.solve().unwrap_err(), SolveError::Unbounded);
     }
 
     #[test]
@@ -2368,34 +2305,6 @@ mod tests {
     }
 
     #[test]
-    fn full_pricing_reports_zero_block_scans() {
-        // Regression: full Dantzig sweeps used to be miscounted as
-        // partial-pricing block scans. The counter is strictly a
-        // partial-pricing counter now.
-        let p = medium_lp();
-        for pricing in [Pricing::Full, Pricing::Devex] {
-            let opts = SolveOptions {
-                pricing,
-                ..SolveOptions::default()
-            };
-            let s = p.solve_with(&opts).unwrap();
-            assert!(s.iterations() > 0);
-            assert_eq!(
-                s.stats().pricing_block_scans,
-                0,
-                "{pricing:?} pricing must not count block scans"
-            );
-        }
-        // Sanity: partial pricing still counts its scans.
-        let opts = SolveOptions {
-            pricing: Pricing::Partial(4),
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert!(s.stats().pricing_block_scans > 0);
-    }
-
-    #[test]
     fn devex_pricing_matches_dantzig() {
         let p = medium_lp();
         let reference = p.solve().unwrap();
@@ -2516,61 +2425,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_recovers_ill_conditioned_lp() {
-        // Coefficients spanning nine orders of magnitude; equilibration
-        // must leave the optimum (and its duals) unchanged.
-        let build = || {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var(1e4, 0.0, 1e6);
-            let y = p.add_var(3e-3, 0.0, 1e6);
-            let z = p.add_var(7.0, 0.0, 1e6);
-            p.add_constraint([(x, 2e5), (y, 4e-4), (z, 1.0)], Relation::Ge, 3e2);
-            p.add_constraint([(x, 5e4), (y, 8e-5)], Relation::Ge, 1e1);
-            p.add_constraint([(y, 1e-3), (z, 6e3)], Relation::Ge, 2.0);
-            p
-        };
-        let p = build();
-        let reference = p.solve().unwrap();
-        let opts = SolveOptions {
-            scale: true,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        let rel = 1.0 + reference.objective().abs();
-        assert!((s.objective() - reference.objective()).abs() < 1e-6 * rel);
-        assert!(s.stats().scaling_passes >= 1);
-        assert_eq!(
-            s.duals().map(<[f64]>::len),
-            reference.duals().map(<[f64]>::len)
-        );
-    }
-
-    #[test]
-    fn scaling_composes_with_warm_start() {
-        // Basis snapshots are status-only, so they transfer between the
-        // original and equilibrated problems unchanged.
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var(3e3, 0.0, f64::INFINITY);
-        let y = p.add_var(5e3, 0.0, f64::INFINITY);
-        p.add_constraint([(x, 1e-2)], Relation::Le, 4e-2);
-        p.add_constraint([(y, 2e2)], Relation::Le, 12e2);
-        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let opts = SolveOptions {
-            scale: true,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let (s0, basis) = p.solve_with_basis(&opts, None).unwrap();
-        assert_close(s0.objective(), 36e3);
-        let mut q = p.clone();
-        q.set_bounds(y, 0.0, 4.0);
-        let (warm, _) = q.solve_with_basis(&opts, Some(&basis)).unwrap();
-        let cold = q.solve().unwrap();
-        assert_close(warm.objective(), cold.objective());
-    }
-
-    #[test]
     fn engine_combination_agrees_across_warm_start_chain() {
         // Devex + Harris + Forrest–Tomlin together, through the
         // branch-and-bound-style tighten/re-solve pattern.
@@ -2602,68 +2456,6 @@ mod tests {
             basis = b;
             let cold = p.solve().unwrap();
             assert_close(warm.objective(), cold.objective());
-        }
-    }
-
-    #[test]
-    fn partial_pricing_cursor_survives_bland_episode() {
-        // Tiny blocks on Beale's example: the rotating cursor passes
-        // through a degenerate streak (Bland fallback) and must resume
-        // cleanly — correct optimum, block scans actually counted.
-        let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var(-0.75, 0.0, f64::INFINITY);
-        let x2 = p.add_var(150.0, 0.0, f64::INFINITY);
-        let x3 = p.add_var(-0.02, 0.0, f64::INFINITY);
-        let x4 = p.add_var(6.0, 0.0, f64::INFINITY);
-        p.add_constraint(
-            [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint(
-            [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint([(x3, 1.0)], Relation::Le, 1.0);
-        let opts = SolveOptions {
-            pricing: Pricing::Partial(2),
-            bland_after: 3,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), -0.05);
-        assert!(s.stats().pricing_block_scans > 0);
-    }
-
-    #[test]
-    fn partial_pricing_cursor_survives_warm_start_resolves() {
-        let build = || {
-            let mut p = Problem::new(Sense::Minimize);
-            let vars: Vec<_> = (0..8)
-                .map(|i| p.add_var(1.0 + i as f64 * 0.25, 0.0, 10.0))
-                .collect();
-            for i in 0..8 {
-                let j = (i + 1) % 8;
-                p.add_constraint([(vars[i], 1.0), (vars[j], 1.0)], Relation::Ge, 4.0);
-            }
-            (p, vars)
-        };
-        let (mut p, vars) = build();
-        let opts = SolveOptions {
-            pricing: Pricing::Partial(3),
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let (_, mut basis) = p.solve_with_basis(&opts, None).unwrap();
-        for step in 0..3 {
-            let v = vars[step % vars.len()];
-            let (lo, up) = p.bounds(v);
-            p.set_bounds(v, (lo + 1.0).min(up), up);
-            let (warm, b) = p.solve_with_basis(&opts, Some(&basis)).unwrap();
-            basis = b;
-            assert_close(warm.objective(), p.solve().unwrap().objective());
         }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # LP engine A/B benchmark: builds the workspace in release mode, runs
-# the `bench_lp` harness (backends × pricing × ratio test), and leaves
+# the `bench_lp` harness over its three fixed engine configurations
+# (`dense`, `sparse_lu`, `sparse_devex`), and leaves
 # its canonical-JSON results (median solve and per-pivot times,
 # refactorization/update counters, per-pivot ratios) in BENCH_lp.json
 # — or the path given via --out — for CI trend tracking.
