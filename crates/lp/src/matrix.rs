@@ -1,8 +1,9 @@
 //! Compressed sparse column (CSC) matrices.
 //!
 //! The simplex solver stores the constraint matrix column-major because
-//! every hot operation (pricing a column, computing the pivot direction
-//! `B⁻¹ aⱼ`) walks one column's nonzeros.
+//! the pivot direction `B⁻¹ aⱼ` and the basis factorization walk one
+//! column's nonzeros. Pricing runs over a transposed (row-major) copy
+//! instead; see [`CscMatrix::scatter_mul`].
 
 use std::fmt;
 
@@ -76,6 +77,86 @@ impl CscMatrix {
             acc += v * y[r as usize];
         }
         acc
+    }
+
+    /// Appends a column holding the single entry `value` in `row`, in
+    /// place (the simplex's slack and artificial columns).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.nrows()` or `value` is zero (a stored
+    /// zero would break the builder's no-explicit-zeros invariant).
+    pub(crate) fn push_unit_col(&mut self, row: usize, value: f64) {
+        assert!(row < self.nrows, "row {row} out of range");
+        assert!(value != 0.0, "unit column needs a nonzero entry");
+        self.row_idx.push(row as u32);
+        self.values.push(value);
+        self.col_ptr.push(self.values.len());
+        self.ncols += 1;
+    }
+
+    /// The transpose, i.e. a row-major copy: column `r` of the result
+    /// lists row `r` of `self` with its column indices ascending.
+    pub(crate) fn transpose(&self) -> CscMatrix {
+        let mut col_ptr = vec![0usize; self.nrows + 1];
+        for &r in &self.row_idx {
+            // INDEX: r < nrows (CSC invariant) and col_ptr has nrows+1 entries.
+            col_ptr[r as usize + 1] += 1;
+        }
+        for r in 0..self.nrows {
+            // INDEX: r < nrows and col_ptr has nrows+1 entries.
+            col_ptr[r + 1] += col_ptr[r];
+        }
+        let mut next = col_ptr.clone();
+        let mut row_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        // Walking the columns in ascending order fills every row's
+        // entries in ascending column order.
+        for j in 0..self.ncols {
+            let c = self.col(j);
+            for (&r, &v) in c.rows.iter().zip(c.values) {
+                let slot = &mut next[r as usize];
+                row_idx[*slot] = j as u32;
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        CscMatrix {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    /// Computes `out = self · x` by scattering `x[c] · A[:, c]` for
+    /// every **nonzero** `x[c]`, in ascending `c`.
+    ///
+    /// Called on a [`CscMatrix::transpose`] copy `Aᵀ`, this yields every
+    /// column product `out[j] = Σᵣ aᵣⱼ·xᵣ` at a cost proportional to
+    /// the nonzeros of the rows `x` touches. Each `out[j]` adds the same
+    /// products in the same ascending-row order as
+    /// [`CscMatrix::dot_col`]`(j, x)` on `A`; the skipped terms are
+    /// signed zeros, which cannot change an accumulator that starts at
+    /// `+0.0`. So for finite entries the two agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.ncols()` or `out.len() != self.nrows()`.
+    pub(crate) fn scatter_mul(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "dense vector length mismatch");
+        assert_eq!(out.len(), self.nrows, "output length mismatch");
+        out.fill(0.0);
+        for (c, &xc) in x.iter().enumerate() {
+            if xc == 0.0 {
+                continue;
+            }
+            let col = self.col(c);
+            for (&r, &v) in col.rows.iter().zip(col.values) {
+                out[r as usize] += v * xc;
+            }
+        }
     }
 }
 
@@ -396,6 +477,29 @@ mod tests {
         assert_eq!(y, vec![1.0, 7.0]);
         assert_eq!(m.dot_col(0, &y), 1.0);
         assert_eq!(m.dot_col(1, &y), 21.0);
+    }
+
+    #[test]
+    fn unit_columns_and_transpose() {
+        let mut m = sample();
+        m.push_unit_col(1, -1.0);
+        assert_eq!(m.ncols(), 4);
+        assert_eq!(m.col(3).iter().collect::<Vec<_>>(), vec![(1, -1.0)]);
+        // Rows of [ 1 0 2 0 ; 0 3 0 -1 ], column indices ascending.
+        let t = m.transpose();
+        assert_eq!((t.nrows(), t.ncols(), t.nnz()), (4, 2, 4));
+        assert_eq!(
+            t.col(0).iter().collect::<Vec<_>>(),
+            vec![(0, 1.0), (2, 2.0)]
+        );
+        assert_eq!(
+            t.col(1).iter().collect::<Vec<_>>(),
+            vec![(1, 3.0), (3, -1.0)]
+        );
+        assert_eq!(t.transpose(), m);
+        let mut out = vec![f64::NAN; 4];
+        t.scatter_mul(&[2.0, 0.0], &mut out);
+        assert_eq!(out, vec![2.0, 0.0, 4.0, 0.0]);
     }
 
     #[test]

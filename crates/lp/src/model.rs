@@ -321,15 +321,29 @@ impl Problem {
     /// Builds the column-major constraint matrix over the structural
     /// variables (no slacks).
     pub(crate) fn to_csc(&self) -> CscMatrix {
-        // Bucket entries per column first.
+        // Bucket entries per column first, keeping insertion order within
+        // a column (a stable counting sort into one flat buffer).
         let n = self.vars.len();
-        let mut per_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        let mut start = vec![0usize; n + 1];
+        for &(_, c, _) in &self.entries {
+            // INDEX: c < n (checked by add_constraint) and start has n+1 entries.
+            start[c as usize + 1] += 1;
+        }
+        for j in 0..n {
+            // INDEX: j < n and start has n+1 entries.
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut bucket = vec![(0usize, 0.0); self.entries.len()];
         for &(r, c, v) in &self.entries {
-            per_col[c as usize].push((r as usize, v));
+            let slot = &mut next[c as usize];
+            bucket[*slot] = (r as usize, v);
+            *slot += 1;
         }
         let mut b = CscBuilder::new(self.rows.len());
-        for col in per_col {
-            b.add_col(col);
+        for j in 0..n {
+            // INDEX: j < n and start has n+1 entries.
+            b.add_col(bucket[start[j]..start[j + 1]].iter().copied());
         }
         b.build()
     }

@@ -35,6 +35,18 @@
 //!   SPM pipeline produces. An automatic switch to Bland's rule after a
 //!   run of degenerate pivots guarantees termination. Devex weights are
 //!   index-ordered solver state, so results stay deterministic.
+//! * Every "row-space vector · every column" product — the reduced costs
+//!   `dⱼ = cⱼ − Σᵣ aᵣⱼ·yᵣ` and the pivot row `αⱼ = Σᵣ aᵣⱼ·ρᵣ` used by
+//!   pricing, the devex update, the dual simplex and its feasibility
+//!   check — is **row-wise**: one scatter of the vector's nonzero
+//!   entries, in ascending row order, over a row-major copy of the
+//!   standard-form matrix built once per solve. The work follows the
+//!   nonzero duals (about a quarter of the rows on the SPM LPs) instead
+//!   of every column's nonzeros. Each column still adds the same
+//!   products in the same ascending-row order as a per-column dot, and
+//!   a skipped exact-zero entry only drops a signed-zero addend, so the
+//!   reduced costs, and with them every pivot, are bit-identical to the
+//!   column-wise sweep.
 //! * The ratio test is the textbook smallest-ratio rule or, under
 //!   [`RatioTest::Harris`], the Harris two-pass variant that relaxes
 //!   bounds by the feasibility tolerance and then picks the largest
@@ -290,6 +302,9 @@ enum VarState {
 struct Simplex {
     /// Full standard-form matrix: structural | slacks | artificials.
     a: CscMatrix,
+    /// Row-major copy of `a` (its transpose), built once the column set
+    /// is final; every pricing product scatters over it.
+    a_rows: CscMatrix,
     /// Objective over all standard-form columns (minimization).
     cost: Vec<f64>,
     lower: Vec<f64>,
@@ -339,6 +354,12 @@ struct Simplex {
     // Scratch buffers reused across iterations.
     y: Vec<f64>,
     w: Vec<f64>,
+    /// Row `r` of `B⁻¹`, written by [`Simplex::btran_unit`].
+    rho: Vec<f64>,
+    /// Reduced costs `dⱼ` of every column against `y`.
+    dj: Vec<f64>,
+    /// Pivot row `αⱼ = ρᵀaⱼ` of every column against `rho`.
+    alpha: Vec<f64>,
     /// Row-space scratch (FTRAN right-hand sides, BTRAN outputs).
     rowbuf: Vec<f64>,
     /// Permuted-space scratch handed to [`LuFactors`] solves.
@@ -384,12 +405,7 @@ impl Simplex {
         let n = problem.num_vars();
         let maximize = problem.sense() == Sense::Maximize;
 
-        let structural = problem.to_csc();
-        let mut builder = CscBuilder::new(m);
-        // Re-add structural columns (CscBuilder has no concat; rebuild).
-        for j in 0..n {
-            builder.add_col(structural.col(j).iter());
-        }
+        let mut a = problem.to_csc();
         let mut cost: Vec<f64> = problem
             .vars
             .iter()
@@ -400,7 +416,7 @@ impl Simplex {
 
         // Slacks: a·x + s = b.
         for (i, row) in problem.rows.iter().enumerate() {
-            builder.add_col([(i, 1.0)]);
+            a.push_unit_col(i, 1.0);
             cost.push(0.0);
             match row.relation {
                 Relation::Le => {
@@ -444,7 +460,8 @@ impl Simplex {
         };
 
         Simplex {
-            a: builder.build(),
+            a,
+            a_rows: CscBuilder::new(0).build(),
             cost,
             lower,
             upper,
@@ -479,6 +496,9 @@ impl Simplex {
             trace_dropped: 0,
             y: vec![0.0; m],
             w: vec![0.0; m],
+            rho: vec![0.0; m],
+            dj: Vec::new(),
+            alpha: Vec::new(),
             rowbuf: vec![0.0; m],
             lubuf: vec![0.0; m],
         }
@@ -545,8 +565,8 @@ impl Simplex {
         // --- Phase 1: add artificials for rows whose slack can't absorb
         // the residual. ---
         let mut need_phase1 = false;
-        let mut art_builder = CscBuilder::new(m);
-        let mut art_rows: Vec<usize> = Vec::new();
+        // (row, coefficient) of each artificial column.
+        let mut art_rows: Vec<(usize, f64)> = Vec::new();
         self.xb = vec![0.0; m];
         for (i, &r) in resid.iter().enumerate() {
             let sj = self.n_struct + i;
@@ -555,18 +575,16 @@ impl Simplex {
                 // Slack pinned at its upper bound; artificial absorbs r − su.
                 self.state[sj] = VarState::AtUpper;
                 self.xb[i] = r - su;
-                art_builder.add_col([(i, 1.0)]);
-                art_rows.push(i);
+                art_rows.push((i, 1.0));
                 need_phase1 = true;
             } else if r < sl - self.opts.tol {
                 self.state[sj] = VarState::AtLower;
                 self.xb[i] = sl - r;
-                art_builder.add_col([(i, -1.0)]);
                 // B gets a −1 on this diagonal, so B⁻¹ does too.
                 if let BasisRepr::Dense { binv } = &mut self.repr {
                     binv[i * m + i] = -1.0;
                 }
-                art_rows.push(i);
+                art_rows.push((i, -1.0));
                 need_phase1 = true;
             } else {
                 self.xb[i] = r.clamp(sl.min(su), su.max(sl));
@@ -574,19 +592,14 @@ impl Simplex {
         }
 
         if need_phase1 {
-            // Splice artificial columns into the matrix and vectors.
-            let art = art_builder.build();
-            let mut builder = CscBuilder::new(m);
-            for j in 0..n_total {
-                builder.add_col(self.a.col(j).iter());
+            // Append the artificial columns to the matrix and vectors.
+            for &(row, coeff) in &art_rows {
+                self.a.push_unit_col(row, coeff);
             }
-            for k in 0..art.ncols() {
-                builder.add_col(art.col(k).iter());
-            }
-            self.a = builder.build();
+            self.build_row_copy();
             let n_art = art_rows.len();
             let saved_cost = std::mem::replace(&mut self.cost, vec![0.0; n_total + n_art]);
-            for (k, &row) in art_rows.iter().enumerate() {
+            for (k, &(row, _)) in art_rows.iter().enumerate() {
                 let aj = n_total + k;
                 self.cost[aj] = 1.0;
                 self.lower.push(0.0);
@@ -620,6 +633,7 @@ impl Simplex {
             self.cost = saved_cost;
             self.cost.resize(n_total + n_art, 0.0);
         } else {
+            self.build_row_copy();
             self.factorize_sparse()?;
         }
 
@@ -663,6 +677,7 @@ impl Simplex {
             return Err(SolveError::Singular);
         }
         self.warm_started = true;
+        self.build_row_copy();
         // Restore statuses, reconciling nonbasic states with the current
         // bounds (a tightened bound may have invalidated the old resting
         // side).
@@ -726,11 +741,12 @@ impl Simplex {
     /// Whether every nonbasic reduced cost is consistent with its status.
     fn is_dual_feasible(&mut self) -> bool {
         self.compute_duals();
+        self.compute_reduced_costs();
         let tol = self.opts.tol.max(1e-7) * 10.0;
         for j in 0..self.state.len() {
             let d = match self.state[j] {
                 VarState::Basic(_) => continue,
-                _ => self.cost[j] - self.a.dot_col(j, &self.y),
+                _ => self.dj[j],
             };
             let ok = match self.state[j] {
                 VarState::AtLower => self.lower[j] >= self.upper[j] || d >= -tol,
@@ -786,10 +802,11 @@ impl Simplex {
             };
             let need_up = target > self.xb[row];
 
-            // Duals for reduced costs, and row `row` of `B⁻¹` for the
-            // dual ratio test.
+            // Reduced costs, and the pivot row of row `row` of `B⁻¹`
+            // for the dual ratio test.
             self.compute_duals();
-            let rho = self.btran_unit(row);
+            self.compute_reduced_costs();
+            self.compute_pivot_row(row);
 
             // Entering column: dual ratio test.
             let mut best: Option<(usize, f64, f64, f64)> = None; // (col, dir, ratio, |alpha|)
@@ -802,18 +819,11 @@ impl Simplex {
                     VarState::AtUpper => &[-1.0],
                     VarState::FreeZero => &[1.0, -1.0],
                 };
-                let alpha = {
-                    let c = self.a.col(j);
-                    let mut acc = 0.0;
-                    for (r, v) in c.iter() {
-                        acc += v * rho[r];
-                    }
-                    acc
-                };
+                let alpha = self.alpha[j];
                 if alpha.abs() < self.opts.pivot_tol {
                     continue;
                 }
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
+                let d = self.dj[j];
                 for &dir in dirs {
                     // Moving j by t·dir changes xb[row] by −alpha·dir·t.
                     let rises = -alpha * dir > 0.0;
@@ -1036,7 +1046,8 @@ impl Simplex {
         }
     }
 
-    /// Computes duals `y = c_Bᵀ B⁻¹` and picks an entering column.
+    /// Computes duals `y = c_Bᵀ B⁻¹` and the reduced costs, and picks an
+    /// entering column.
     ///
     /// Under Bland's rule every column is scanned and the first improving
     /// index enters (the anti-cycling guarantee needs the global minimum
@@ -1045,12 +1056,14 @@ impl Simplex {
     /// and the most violating reduced cost enters.
     fn price(&mut self, bland: bool) -> PriceStep {
         self.compute_duals();
+        self.compute_reduced_costs();
         let tol = self.opts.tol;
         let ncols = self.state.len();
         if bland {
             for j in 0..ncols {
-                if let Some(dir) = self.price_candidate(j, tol) {
-                    return PriceStep::Enter { col: j, dir: dir.0 };
+                let (dir, score) = self.price_score(j);
+                if score > tol {
+                    return PriceStep::Enter { col: j, dir };
                 }
             }
             return PriceStep::Optimal;
@@ -1073,13 +1086,13 @@ impl Simplex {
         }
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, merit)
         for j in 0..ncols {
-            let Some((dir, score)) = self.price_candidate(j, tol) else {
-                continue;
-            };
-            let merit = score * score / self.devex_w[j];
-            match best {
-                Some((_, _, m)) if m >= merit => {}
-                _ => best = Some((j, dir, merit)),
+            let (dir, score) = self.price_score(j);
+            if score > tol {
+                let merit = score * score / self.devex_w[j];
+                match best {
+                    Some((_, _, m)) if m >= merit => {}
+                    _ => best = Some((j, dir, merit)),
+                }
             }
         }
         match best {
@@ -1109,13 +1122,13 @@ impl Simplex {
             self.devex_w.resize(self.state.len(), 1.0);
         }
         let gamma_q = self.devex_w[col];
-        let rho = self.btran_unit(row);
+        self.compute_pivot_row(row);
         let mut max_w: f64 = 1.0;
         for j in 0..self.state.len() {
             if j == col || matches!(self.state[j], VarState::Basic(_)) {
                 continue;
             }
-            let alpha_j = self.a.dot_col(j, &rho);
+            let alpha_j = self.alpha[j];
             if alpha_j != 0.0 {
                 let ratio = alpha_j / alpha_q;
                 let cand = ratio * ratio * gamma_q;
@@ -1136,62 +1149,45 @@ impl Simplex {
         }
     }
 
-    /// Reduced-cost test for one nonbasic column against the current
-    /// duals: `Some((dir, score))` when moving `j` in direction `dir`
-    /// improves the objective by rate `score`.
-    fn price_candidate(&self, j: usize, tol: f64) -> Option<(f64, f64)> {
-        match self.state[j] {
-            VarState::Basic(_) => None,
-            VarState::AtLower => {
-                if self.lower[j] >= self.upper[j] {
-                    return None; // fixed variable
-                }
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
-                if d < -tol {
-                    Some((1.0, -d))
-                } else {
-                    None
-                }
-            }
-            VarState::AtUpper => {
-                if self.lower[j] >= self.upper[j] {
-                    return None;
-                }
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
-                if d > tol {
-                    Some((-1.0, d))
-                } else {
-                    None
-                }
-            }
-            VarState::FreeZero => {
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
-                if d < -tol {
-                    Some((1.0, -d))
-                } else if d > tol {
-                    Some((-1.0, d))
-                } else {
-                    None
-                }
-            }
+    /// Best improving move of column `j` against the reduced costs in
+    /// `self.dj`: `(dir, score)`, where moving `j` in direction `dir`
+    /// changes the objective at rate `−score`. The score is `−∞` for
+    /// basic and fixed columns, and a column is an entering candidate
+    /// when `score > tol`. Written as selects rather than nested
+    /// branches: the sweeps call it for every column on every pivot.
+    fn price_score(&self, j: usize) -> (f64, f64) {
+        let movable = self.lower[j] < self.upper[j];
+        let (can_rise, can_fall) = match self.state[j] {
+            VarState::Basic(_) => (false, false),
+            VarState::AtLower => (movable, false),
+            VarState::AtUpper => (false, movable),
+            VarState::FreeZero => (true, true),
+        };
+        let d = self.dj[j];
+        let rise = if can_rise { -d } else { f64::NEG_INFINITY };
+        let fall = if can_fall { d } else { f64::NEG_INFINITY };
+        if rise > fall {
+            (1.0, rise)
+        } else {
+            (-1.0, fall)
         }
     }
 
     /// Dantzig pricing over every column: the most violating reduced
     /// cost wins, earliest index on ties.
     fn price_dantzig(&self, tol: f64) -> PriceStep {
-        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
+        // A candidate must beat `tol` and then every earlier candidate.
+        let mut bar = tol;
+        let mut best: Option<(usize, f64)> = None; // (col, dir)
         for j in 0..self.state.len() {
-            let Some((dir, score)) = self.price_candidate(j, tol) else {
-                continue;
-            };
-            match best {
-                Some((_, _, s)) if s >= score => {}
-                _ => best = Some((j, dir, score)),
+            let (dir, score) = self.price_score(j);
+            if score > bar {
+                bar = score;
+                best = Some((j, dir));
             }
         }
         match best {
-            Some((col, dir, _)) => PriceStep::Enter { col, dir },
+            Some((col, dir)) => PriceStep::Enter { col, dir },
             None => PriceStep::Optimal,
         }
     }
@@ -1241,32 +1237,62 @@ impl Simplex {
         }
     }
 
-    /// Row `row` of `B⁻¹` (= `B⁻ᵀ e_row` in row space), used by the dual
-    /// simplex ratio test.
-    fn btran_unit(&mut self, row: usize) -> Vec<f64> {
+    /// Reduced costs `dⱼ = cⱼ − Σᵣ aᵣⱼ·yᵣ` of every column into
+    /// `self.dj`, from the duals in `self.y`: one scatter of the nonzero
+    /// duals over the row-major copy (see [`CscMatrix::scatter_mul`]).
+    fn compute_reduced_costs(&mut self) {
+        let Simplex {
+            a_rows,
+            cost,
+            y,
+            dj,
+            ..
+        } = self;
+        a_rows.scatter_mul(y, dj);
+        for (d, &c) in dj.iter_mut().zip(cost.iter()) {
+            *d = c - *d;
+        }
+    }
+
+    /// Pivot row `αⱼ = Σᵣ aᵣⱼ·ρᵣ` of every column into `self.alpha`,
+    /// where `ρ` is row `row` of `B⁻¹`: one scatter of the nonzero `ρᵣ`
+    /// over the row-major copy.
+    fn compute_pivot_row(&mut self, row: usize) {
+        self.btran_unit(row);
+        self.a_rows.scatter_mul(&self.rho, &mut self.alpha);
+    }
+
+    /// (Re)builds the row-major copy of `a` and sizes the column-space
+    /// buffers. Call once the column set is final for the solve.
+    fn build_row_copy(&mut self) {
+        self.a_rows = self.a.transpose();
+        let ncols = self.a.ncols();
+        self.dj.resize(ncols, 0.0);
+        self.alpha.resize(ncols, 0.0);
+    }
+
+    /// Row `row` of `B⁻¹` (= `B⁻ᵀ e_row` in row space) into `self.rho`.
+    fn btran_unit(&mut self, row: usize) {
         let m = self.rhs.len();
         let Simplex {
             repr,
+            rho,
             rowbuf,
             lubuf,
             ..
         } = self;
         match repr {
-            BasisRepr::Dense { binv } => binv[row * m..(row + 1) * m].to_vec(),
+            BasisRepr::Dense { binv } => rho.copy_from_slice(&binv[row * m..(row + 1) * m]),
             BasisRepr::Sparse { lu, etas } => {
-                let mut rho = vec![0.0; m];
                 rowbuf.fill(0.0);
                 rowbuf[row] = 1.0;
                 etas.btran(rowbuf);
-                lu.btran(rowbuf, &mut rho, lubuf);
-                rho
+                lu.btran(rowbuf, rho, lubuf);
             }
             BasisRepr::SparseFt { ft } => {
-                let mut rho = vec![0.0; m];
                 rowbuf.fill(0.0);
                 rowbuf[row] = 1.0;
-                ft.btran(rowbuf, &mut rho, lubuf);
-                rho
+                ft.btran(rowbuf, rho, lubuf);
             }
         }
     }
@@ -1536,7 +1562,10 @@ impl Simplex {
         } else {
             VarState::AtLower
         };
-        // Snap exactly onto the bound to stop drift.
+        // The leaving variable now rests on this bound through its state
+        // alone. Debug builds check that `xb[row]` really reached it; no
+        // value is snapped onto the bound, since that would move later
+        // pivots.
         let snapped = if to_upper {
             self.upper[leaving]
         } else {
@@ -2422,6 +2451,180 @@ mod tests {
         };
         let s = p.solve_with(&opts).unwrap();
         assert_close(s.objective(), reference.objective());
+    }
+
+    /// A dense-ish random vector with exact zeros, negative zeros and
+    /// negative entries spread over six decades, so any change in
+    /// summation order shows up in the low bits.
+    fn kernel_vector(rng: &mut rand_chacha::ChaCha8Rng, len: usize) -> Vec<f64> {
+        use rand::Rng;
+        (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0..=3 => 0.0,
+                4 => -0.0,
+                _ => rng.gen_range(-4.0..4.0) * 10f64.powi(rng.gen_range(-3..3)),
+            })
+            .collect()
+    }
+
+    /// Asserts the row-wise products in `s.dj`/`s.alpha` equal the
+    /// per-column dots `cⱼ − aⱼ·y` and `aⱼ·ρ` bit for bit.
+    fn assert_kernel_bits(s: &Simplex, rho: &[f64]) {
+        for j in 0..s.a.ncols() {
+            let d = s.cost[j] - s.a.dot_col(j, &s.y);
+            assert_eq!(s.dj[j].to_bits(), d.to_bits(), "d[{j}]");
+            let alpha = s.a.dot_col(j, rho);
+            assert_eq!(s.alpha[j].to_bits(), alpha.to_bits(), "alpha[{j}]");
+        }
+    }
+
+    /// A random sparse LP with `m` mixed-relation rows over `n` boxed
+    /// variables; coefficients span four decades and both signs.
+    fn random_sparse_lp(rng: &mut rand_chacha::ChaCha8Rng, m: usize, n: usize) -> Problem {
+        use rand::Rng;
+        let mut p = Problem::new(Sense::Minimize);
+        let vars: Vec<_> = (0..n)
+            .map(|_| p.add_var(rng.gen_range(-5.0..5.0), 0.0, 10.0))
+            .collect();
+        for _ in 0..m {
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if rng.gen_bool(0.2) {
+                    let scale = 10f64.powi(rng.gen_range(-2..2));
+                    terms.push((v, rng.gen_range(-3.0..3.0) * scale));
+                }
+            }
+            let rel = [Relation::Le, Relation::Ge, Relation::Eq][rng.gen_range(0..3)];
+            p.add_constraint(terms, rel, rng.gen_range(-10.0..10.0));
+        }
+        p
+    }
+
+    #[test]
+    fn row_wise_pricing_kernel_is_bit_identical_to_column_dots() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
+        let mut with_artificials = 0;
+        for _ in 0..40 {
+            let (m, n) = (rng.gen_range(1..40), rng.gen_range(1..60));
+            let p = random_sparse_lp(&mut rng, m, n);
+
+            // Random duals and pivot-row vectors over a standard form
+            // with artificial columns appended as phase 1 does.
+            let mut s = Simplex::new(&p, &SolveOptions::default());
+            for i in 0..m {
+                if rng.gen_bool(0.3) {
+                    s.a.push_unit_col(i, if rng.gen_bool(0.5) { 1.0 } else { -1.0 });
+                    s.cost.push(1.0);
+                }
+            }
+            s.build_row_copy();
+            s.y = kernel_vector(&mut rng, m);
+            s.compute_reduced_costs();
+            let rho = kernel_vector(&mut rng, m);
+            s.a_rows.scatter_mul(&rho, &mut s.alpha);
+            assert_kernel_bits(&s, &rho);
+
+            // The solver's own duals and `B⁻¹` rows at its final basis,
+            // phase-1 artificials included when the start needed them.
+            let mut s = Simplex::new(&p, &SolveOptions::default());
+            let _ = s.run();
+            if s.a.ncols() > n + m {
+                with_artificials += 1;
+            }
+            s.compute_duals();
+            s.compute_reduced_costs();
+            for r in 0..m {
+                s.compute_pivot_row(r);
+                let rho = s.rho.clone();
+                assert_kernel_bits(&s, &rho);
+            }
+        }
+        assert!(with_artificials > 0, "no solve exercised phase 1");
+    }
+
+    /// The per-column entering test as a nested-branch reference:
+    /// `Some((dir, score))` when moving `j` by `dir` improves the
+    /// objective at rate `score`.
+    fn reference_candidate(s: &Simplex, j: usize, tol: f64) -> Option<(f64, f64)> {
+        let fixed = s.lower[j] >= s.upper[j];
+        let d = s.dj[j];
+        match s.state[j] {
+            VarState::Basic(_) => None,
+            VarState::AtLower if fixed => None,
+            VarState::AtUpper if fixed => None,
+            VarState::AtLower => (d < -tol).then_some((1.0, -d)),
+            VarState::AtUpper => (d > tol).then_some((-1.0, d)),
+            VarState::FreeZero if d < -tol => Some((1.0, -d)),
+            VarState::FreeZero => (d > tol).then_some((-1.0, d)),
+        }
+    }
+
+    fn entering(step: PriceStep) -> Option<(usize, f64)> {
+        match step {
+            PriceStep::Optimal => None,
+            PriceStep::Enter { col, dir } => Some((col, dir)),
+        }
+    }
+
+    #[test]
+    fn pricing_rules_match_the_reference_entering_test() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xd1ce);
+        let p = random_sparse_lp(&mut rng, 12, 30);
+        let mut s = Simplex::new(&p, &SolveOptions::default());
+        let tol = s.opts.tol;
+        let ncols = s.a.ncols();
+        s.build_row_copy();
+        s.state = vec![VarState::AtLower; ncols];
+        s.devex_w = vec![1.0; ncols];
+        // Few distinct values, so ties and the ±tol edges come up often.
+        let magnitudes = [0.0, tol, 2.0 * tol, 0.5, 1.0];
+        for _ in 0..500 {
+            for j in 0..ncols {
+                s.state[j] = match rng.gen_range(0..4) {
+                    0 => VarState::Basic(0),
+                    1 => VarState::AtLower,
+                    2 => VarState::AtUpper,
+                    _ => VarState::FreeZero,
+                };
+                (s.lower[j], s.upper[j]) = match s.state[j] {
+                    VarState::FreeZero => (f64::NEG_INFINITY, f64::INFINITY),
+                    _ if rng.gen_bool(0.2) => (3.0, 3.0),
+                    _ => (0.0, 10.0),
+                };
+                let d = magnitudes[rng.gen_range(0..magnitudes.len())];
+                s.dj[j] = if rng.gen_bool(0.5) { -d } else { d };
+                s.devex_w[j] = [1.0, 4.0][rng.gen_range(0..2)];
+            }
+            let candidates: Vec<(usize, f64, f64)> = (0..ncols)
+                .filter_map(|j| reference_candidate(&s, j, tol).map(|(dir, sc)| (j, dir, sc)))
+                .collect();
+            // Bland: lowest improving index. Dantzig: largest score,
+            // earliest on ties. Devex: largest score²/γ, earliest on ties.
+            let bland = candidates.first().map(|&(j, dir, _)| (j, dir));
+            let mut dantzig: Option<(usize, f64, f64)> = None;
+            let mut devex: Option<(usize, f64, f64)> = None;
+            for &(j, dir, score) in &candidates {
+                if dantzig.is_none_or(|(_, _, best)| score > best) {
+                    dantzig = Some((j, dir, score));
+                }
+                let merit = score * score / s.devex_w[j];
+                if devex.is_none_or(|(_, _, best)| merit > best) {
+                    devex = Some((j, dir, merit));
+                }
+            }
+            let bland_step = (0..ncols).find_map(|j| {
+                let (dir, score) = s.price_score(j);
+                (score > tol).then_some((j, dir))
+            });
+            assert_eq!(bland_step, bland);
+            assert_eq!(
+                entering(s.price_dantzig(tol)),
+                dantzig.map(|(j, d, _)| (j, d))
+            );
+            assert_eq!(entering(s.price_devex(tol)), devex.map(|(j, d, _)| (j, d)));
+        }
     }
 
     #[test]
