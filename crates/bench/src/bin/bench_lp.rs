@@ -7,8 +7,8 @@
 //!   (the reference; only run for m ≤ 1000, where it is tractable);
 //! * `sparse_lu`    — sparse LU backend, full Dantzig pricing,
 //!   product-form updates (isolates the factorization win);
-//! * `sparse_devex` — sparse LU + devex pricing + Harris ratio test +
-//!   Forrest–Tomlin updates (the full engine).
+//! * `sparse_devex` — sparse LU backend, devex pricing, product-form
+//!   updates (isolates the pricing win).
 //!
 //! Row counts are `m ∈ {100, 300, 1000, 5000, 20000}` (`--quick`:
 //! `{100, 300}`): transportation-style LPs up to m = 300, a seeded
@@ -29,9 +29,7 @@
 use std::time::Instant;
 
 use metis_bench::json::{obj, Json};
-use metis_lp::{
-    BasisBackend, FactorUpdate, Pricing, Problem, RatioTest, Relation, Sense, SolveOptions,
-};
+use metis_lp::{BasisBackend, Pricing, Problem, Relation, Sense, SolveOptions};
 
 /// Full and `--quick` row-count ladders. The committed `BENCH_lp.json`
 /// is produced by the full ladder; CI's quick leg runs the prefix.
@@ -150,8 +148,6 @@ fn configs() -> Vec<Config> {
             opts: SolveOptions {
                 basis: BasisBackend::SparseLu,
                 pricing: Pricing::Devex,
-                ratio: RatioTest::Harris,
-                factor_update: FactorUpdate::ForrestTomlin,
                 ..base
             },
         },
@@ -168,9 +164,7 @@ struct Measured {
     bound_flips: usize,
     refactorizations: usize,
     eta_updates: usize,
-    ft_spikes: usize,
     devex_resets: usize,
-    harris_expansions: usize,
     lu_l_nnz: usize,
     lu_u_nnz: usize,
 }
@@ -199,9 +193,7 @@ fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
         bound_flips: st.bound_flips,
         refactorizations: st.refreshes,
         eta_updates: st.eta_updates,
-        ft_spikes: st.ft_spikes,
         devex_resets: st.devex_resets,
-        harris_expansions: st.harris_expansions,
         lu_l_nnz: st.lu_l_nnz,
         lu_u_nnz: st.lu_u_nnz,
     }
@@ -218,9 +210,7 @@ fn config_json(m: &Measured) -> Json {
         ("bound_flips", Json::Num(m.bound_flips as f64)),
         ("refactorizations", Json::Num(m.refactorizations as f64)),
         ("eta_updates", Json::Num(m.eta_updates as f64)),
-        ("ft_spikes", Json::Num(m.ft_spikes as f64)),
         ("devex_resets", Json::Num(m.devex_resets as f64)),
-        ("harris_expansions", Json::Num(m.harris_expansions as f64)),
         ("lu_l_nnz", Json::Num(m.lu_l_nnz as f64)),
         ("lu_u_nnz", Json::Num(m.lu_u_nnz as f64)),
     ])
@@ -366,7 +356,7 @@ fn main() {
                 r.median_pivot_ns,
                 r.iterations,
                 r.refactorizations,
-                r.eta_updates + r.ft_spikes,
+                r.eta_updates,
             );
             cfg_fields.push((c.key, config_json(&r)));
             if c.key == "dense" {

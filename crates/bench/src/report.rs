@@ -126,16 +126,14 @@ pub fn phase_timing_table(snapshot: &Snapshot) -> Table {
 pub fn lp_stats_table(snapshot: &Snapshot) -> Table {
     use metis_telemetry::names;
     let mut t = Table::new("LP engine (telemetry counters)", &["metric", "value"]);
-    let counters: [(&str, &str); 9] = [
+    let counters: [(&str, &str); 7] = [
         ("simplex pivots", names::LP_SIMPLEX_ITERATIONS),
         ("phase-1 pivots", names::LP_SIMPLEX_PHASE1),
         ("dual pivots", names::LP_SIMPLEX_DUAL),
         ("bound flips", names::LP_SIMPLEX_BOUND_FLIPS),
         ("refactorizations", names::LP_SIMPLEX_REFRESHES),
         ("eta updates", names::LP_LU_ETA_UPDATES),
-        ("FT spikes", names::LP_LU_FT_SPIKES),
         ("devex resets", names::LP_PRICING_DEVEX_RESETS),
-        ("Harris expansions", names::LP_RATIO_HARRIS_EXPANSIONS),
     ];
     for (label, name) in counters {
         t.push_row(vec![label.to_string(), snapshot.counter(name).to_string()]);

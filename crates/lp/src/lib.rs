@@ -49,6 +49,6 @@ pub mod verify;
 pub use error::SolveError;
 pub use ilp::{solve_ilp, solve_ilp_with_start, IlpOptions, IlpSolution, IlpStatus};
 pub use model::{Problem, Relation, RowId, Sense, VarId};
-pub use simplex::{Basis, BasisBackend, FactorUpdate, Pricing, RatioTest, SolveOptions};
+pub use simplex::{Basis, BasisBackend, Pricing, SolveOptions};
 pub use solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
 pub use verify::{certify, Certificate};

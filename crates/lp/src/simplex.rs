@@ -18,23 +18,20 @@
 //!   fill-in control ([`crate::factor`]), so FTRAN (`B⁻¹aⱼ`) and BTRAN
 //!   (`cᵦᵀB⁻¹`) cost time proportional to the factor nonzeros rather
 //!   than `O(m²)`. Between the periodic refactorizations
-//!   ([`SolveOptions::refresh_every`]) each pivot either appends a
-//!   **product-form eta** or, under
-//!   [`FactorUpdate::ForrestTomlin`], rewrites one column of `U` in
-//!   place — the latter keeps update storage proportional to the
-//!   eliminated rows' nonzeros, so the refresh cadence is a numerical
-//!   cadence, not a memory bound. The historical dense explicit `B⁻¹`
+//!   ([`SolveOptions::refresh_every`]) each pivot appends a
+//!   **product-form eta**. The historical dense explicit `B⁻¹`
 //!   (elementary row updates per pivot, Gauss-Jordan refresh) remains
 //!   available behind [`SolveOptions::basis`]`=
 //!   `[`BasisBackend::Dense`] for A/B validation of results and
 //!   performance.
 //! * Pricing ([`Pricing`]) is Dantzig (most violating reduced cost,
 //!   full sweeps) on small problems and **devex reference-weight
-//!   pricing** by default on large ones, which approximates steepest
-//!   edge and typically cuts the pivot count on the degenerate LPs the
-//!   SPM pipeline produces. An automatic switch to Bland's rule after a
-//!   run of degenerate pivots guarantees termination. Devex weights are
-//!   index-ordered solver state, so results stay deterministic.
+//!   pricing** by default on large ones. Devex approximates steepest
+//!   edge; the size switch was tuned on synthetic LPs and costs pivots
+//!   on the SPM relaxations (see `AUTO_DEVEX_MIN_COLS`). An automatic
+//!   switch to Bland's rule after a run of degenerate pivots guarantees
+//!   termination. Devex weights are index-ordered solver state, so
+//!   results stay deterministic.
 //! * Every "row-space vector · every column" product — the reduced costs
 //!   `dⱼ = cⱼ − Σᵣ aᵣⱼ·yᵣ` and the pivot row `αⱼ = Σᵣ aᵣⱼ·ρᵣ` used by
 //!   pricing, the devex update, the dual simplex and its feasibility
@@ -47,14 +44,11 @@
 //!   a skipped exact-zero entry only drops a signed-zero addend, so the
 //!   reduced costs, and with them every pivot, are bit-identical to the
 //!   column-wise sweep.
-//! * The ratio test is the textbook smallest-ratio rule or, under
-//!   [`RatioTest::Harris`], the Harris two-pass variant that relaxes
-//!   bounds by the feasibility tolerance and then picks the largest
-//!   admissible pivot, trading microscopic bound shifts for far better
-//!   numerical behavior on degenerate bases.
+//! * The ratio test is the textbook smallest-ratio rule: the first basic
+//!   variable to hit a bound blocks, ties broken by lowest row index.
 
 use crate::error::SolveError;
-use crate::factor::{EtaFile, FtFactors, LuFactors};
+use crate::factor::{EtaFile, LuFactors};
 use crate::matrix::{CscBuilder, CscMatrix};
 use crate::model::{Problem, Relation, Sense};
 use crate::solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
@@ -98,46 +92,21 @@ pub enum Pricing {
     Devex,
 }
 
-/// Column-count threshold at which [`Pricing::Auto`] switches from
-/// Dantzig full sweeps to devex. Below this, a plain sweep is cheap
-/// enough that the per-pivot weight maintenance only adds overhead.
+/// Standard-form column count (`n + m`) at which [`Pricing::Auto`]
+/// switches from Dantzig full sweeps to devex. The value was tuned on
+/// the synthetic `bench_lp` families, where devex cuts pivots on the
+/// large packing LPs. It does not carry over to the paper LPs: on the
+/// B4 RL-SPM relaxation at K=3000 (seeds 1–4, one release run each on
+/// a 2-vCPU x86-64 box) devex took 19,202–21,266 pivots and
+/// 19.7–26.1 s, Dantzig (`Pricing::Full`) 3,385–3,567 pivots and
+/// 0.72–0.92 s. The switch also decides which tied vertex Metis
+/// reaches, so moving it moves profit; ROADMAP item 2 tracks it.
 const AUTO_DEVEX_MIN_COLS: usize = 3000;
 
 /// Devex weights past this guard trigger a reference-framework reset:
 /// the approximation error compounds multiplicatively per pivot, so
 /// runaway weights mean the steepest-edge estimate has degraded.
 const DEVEX_RESET_THRESHOLD: f64 = 1e8;
-
-/// Primal ratio-test rule; see [`SolveOptions::ratio`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RatioTest {
-    /// Textbook smallest-ratio rule: the first basic variable to hit a
-    /// bound blocks, ties broken by lowest row index. The default.
-    #[default]
-    Textbook,
-    /// Harris two-pass rule: pass one computes the largest step
-    /// admissible with bounds relaxed by the feasibility tolerance, pass
-    /// two picks the largest-magnitude pivot among rows whose exact
-    /// ratio fits under it. Degenerate steps clamp at zero and count in
-    /// [`crate::SolveStats::harris_expansions`].
-    Harris,
-}
-
-/// How pivots update the sparse basis factorization between periodic
-/// refactorizations; see [`SolveOptions::factor_update`]. Ignored by
-/// [`BasisBackend::Dense`], which updates `B⁻¹` in place.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FactorUpdate {
-    /// Product-form eta file: each pivot appends its (dense-ish) FTRAN
-    /// direction, growing by up to `m` nonzeros per pivot until the next
-    /// refresh. The default.
-    #[default]
-    ProductForm,
-    /// Forrest–Tomlin: rewrite one column of `U` in place per pivot,
-    /// storing only the sparse row eta of the displaced row's
-    /// elimination ([`crate::SolveStats::ft_spikes`] counts them).
-    ForrestTomlin,
-}
 
 /// Tuning knobs for the simplex solver.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,11 +131,6 @@ pub struct SolveOptions {
     pub basis: BasisBackend,
     /// Entering-variable pricing strategy; see [`Pricing`].
     pub pricing: Pricing,
-    /// Primal ratio-test rule; see [`RatioTest`].
-    pub ratio: RatioTest,
-    /// Pivot update strategy for the sparse factorization; see
-    /// [`FactorUpdate`].
-    pub factor_update: FactorUpdate,
     /// Independently certify every returned solution via
     /// [`crate::verify`] (recomputed residuals, bounds, objective) and
     /// fail the solve with [`SolveError::CertificateRejected`] on
@@ -192,8 +156,6 @@ impl Default for SolveOptions {
             bland_after: 200,
             basis: BasisBackend::SparseLu,
             pricing: Pricing::Auto,
-            ratio: RatioTest::Textbook,
-            factor_update: FactorUpdate::ProductForm,
             verify: false,
             trace: false,
         }
@@ -341,8 +303,6 @@ struct Simplex {
     lu_l_nnz: usize,
     lu_u_nnz: usize,
     devex_resets: usize,
-    ft_spikes: usize,
-    harris_expansions: usize,
 
     /// Per-iteration ring buffer, filled only when `opts.trace` is set.
     /// `trace[trace_start..]` then `trace[..trace_start]` is the
@@ -376,8 +336,6 @@ enum BasisRepr {
     /// Sparse LU factors of `B` plus the eta file of pivots applied
     /// since the last refactorization.
     Sparse { lu: LuFactors, etas: EtaFile },
-    /// Sparse LU factors updated in place per pivot (Forrest–Tomlin).
-    SparseFt { ft: FtFactors },
 }
 
 /// Outcome of one pricing step.
@@ -441,14 +399,11 @@ impl Simplex {
             opts.max_iterations
         };
 
-        let repr = match (opts.basis, opts.factor_update) {
-            (BasisBackend::Dense, _) => BasisRepr::Dense { binv: Vec::new() },
-            (BasisBackend::SparseLu, FactorUpdate::ProductForm) => BasisRepr::Sparse {
+        let repr = match opts.basis {
+            BasisBackend::Dense => BasisRepr::Dense { binv: Vec::new() },
+            BasisBackend::SparseLu => BasisRepr::Sparse {
                 lu: LuFactors::identity(m),
                 etas: EtaFile::default(),
-            },
-            (BasisBackend::SparseLu, FactorUpdate::ForrestTomlin) => BasisRepr::SparseFt {
-                ft: FtFactors::identity(m),
             },
         };
         // Resolve the pricing strategy against the column count
@@ -489,8 +444,6 @@ impl Simplex {
             lu_l_nnz: 0,
             lu_u_nnz: 0,
             devex_resets: 0,
-            ft_spikes: 0,
-            harris_expansions: 0,
             trace: Vec::new(),
             trace_start: 0,
             trace_dropped: 0,
@@ -901,8 +854,6 @@ impl Simplex {
             lu_l_nnz: self.lu_l_nnz,
             lu_u_nnz: self.lu_u_nnz,
             devex_resets: self.devex_resets,
-            ft_spikes: self.ft_spikes,
-            harris_expansions: self.harris_expansions,
         };
         let trace = self.take_trace();
         Ok(Solution::new(obj, x, self.iterations)
@@ -1003,11 +954,7 @@ impl Simplex {
                 PriceStep::Enter { col, dir } => {
                     self.iterations += 1;
                     self.compute_direction(col);
-                    let ratio = match self.opts.ratio {
-                        RatioTest::Textbook => self.ratio_test(col, dir),
-                        RatioTest::Harris => self.ratio_test_harris(col, dir),
-                    };
-                    match ratio {
+                    match self.ratio_test(col, dir) {
                         Ratio::Unbounded => return Err(SolveError::Unbounded),
                         Ratio::BoundFlip { step } => {
                             self.apply_bound_flip(col, dir, step);
@@ -1228,12 +1175,6 @@ impl Simplex {
                 etas.btran(rowbuf);
                 lu.btran(rowbuf, y, lubuf);
             }
-            BasisRepr::SparseFt { ft } => {
-                for (ci, &bj) in rowbuf.iter_mut().zip(basis.iter()) {
-                    *ci = cost[bj as usize];
-                }
-                ft.btran(rowbuf, y, lubuf);
-            }
         }
     }
 
@@ -1289,11 +1230,6 @@ impl Simplex {
                 etas.btran(rowbuf);
                 lu.btran(rowbuf, rho, lubuf);
             }
-            BasisRepr::SparseFt { ft } => {
-                rowbuf.fill(0.0);
-                rowbuf[row] = 1.0;
-                ft.btran(rowbuf, rho, lubuf);
-            }
         }
     }
 
@@ -1314,11 +1250,6 @@ impl Simplex {
                 etas.clear();
                 *lu_l_nnz = lu.l_nnz();
                 *lu_u_nnz = lu.u_nnz();
-            }
-            BasisRepr::SparseFt { ft } => {
-                *ft = FtFactors::factor(a, basis, 1e-12)?;
-                *lu_l_nnz = ft.l_nnz();
-                *lu_u_nnz = ft.u_nnz();
             }
             BasisRepr::Dense { .. } => {}
         }
@@ -1355,13 +1286,6 @@ impl Simplex {
                 }
                 lu.ftran(rowbuf, w, lubuf);
                 etas.ftran(w);
-            }
-            BasisRepr::SparseFt { ft } => {
-                rowbuf.fill(0.0);
-                for (r, v) in a.col(col).iter() {
-                    rowbuf[r] = v;
-                }
-                ft.ftran(rowbuf, w, lubuf);
             }
         }
     }
@@ -1411,108 +1335,6 @@ impl Simplex {
                 step: t_best,
                 to_upper,
             },
-        }
-    }
-
-    /// Harris two-pass ratio test.
-    ///
-    /// Pass one computes the largest step `t_max` admissible when every
-    /// basic bound is relaxed by the feasibility tolerance; pass two
-    /// picks the largest-magnitude pivot among the rows whose **exact**
-    /// ratio fits under `t_max` (ties by lowest row index). On
-    /// degenerate bases this trades a bound shift of at most `tol` for
-    /// much better pivots than the textbook smallest-ratio rule, which
-    /// is forced onto whatever tiny pivot reaches the minimum first.
-    /// A chosen exact ratio can be slightly negative (the basic
-    /// variable sat just outside its bound); the step clamps to zero
-    /// and `harris_expansions` counts the event.
-    fn ratio_test_harris(&mut self, col: usize, dir: f64) -> Ratio {
-        let ptol = self.opts.pivot_tol;
-        let relax = self.opts.tol;
-        let range = self.upper[col] - self.lower[col];
-        let flip_cap = if range.is_finite() {
-            range
-        } else {
-            f64::INFINITY
-        };
-
-        // Pass 1: relaxed maximum step.
-        let mut t_max = flip_cap;
-        for i in 0..self.m() {
-            let delta = -dir * self.w[i];
-            let bj = self.basis[i] as usize;
-            if delta > ptol {
-                let ub = self.upper[bj];
-                if ub.is_finite() {
-                    let t = (ub - self.xb[i] + relax) / delta;
-                    if t < t_max {
-                        t_max = t;
-                    }
-                }
-            } else if delta < -ptol {
-                let lb = self.lower[bj];
-                if lb.is_finite() {
-                    let t = (lb - self.xb[i] - relax) / delta;
-                    if t < t_max {
-                        t_max = t;
-                    }
-                }
-            }
-        }
-        if t_max.is_infinite() {
-            return Ratio::Unbounded;
-        }
-
-        // Pass 2: best pivot among rows whose exact ratio fits. The row
-        // that set `t_max` always qualifies (its exact ratio is below
-        // its relaxed one), so this is empty only when the entering
-        // variable's own range binds first.
-        let mut blocking: Option<(usize, bool, f64, f64)> = None; // (row, to_upper, t, |w|)
-        for i in 0..self.m() {
-            let delta = -dir * self.w[i];
-            let bj = self.basis[i] as usize;
-            let (bound, to_upper) = if delta > ptol {
-                let ub = self.upper[bj];
-                if !ub.is_finite() {
-                    continue;
-                }
-                (ub, true)
-            } else if delta < -ptol {
-                let lb = self.lower[bj];
-                if !lb.is_finite() {
-                    continue;
-                }
-                (lb, false)
-            } else {
-                continue;
-            };
-            let t = (bound - self.xb[i]) / delta;
-            if t <= t_max {
-                let mag = self.w[i].abs();
-                let better = match blocking {
-                    None => true,
-                    Some((_, _, _, bm)) => mag > bm,
-                };
-                if better {
-                    blocking = Some((i, to_upper, t, mag));
-                }
-            }
-        }
-        match blocking {
-            None => Ratio::BoundFlip { step: flip_cap },
-            Some((row, to_upper, t, _)) => {
-                let step = if t < 0.0 {
-                    self.harris_expansions += 1;
-                    0.0
-                } else {
-                    t
-                };
-                Ratio::Pivot {
-                    row,
-                    step,
-                    to_upper,
-                }
-            }
         }
     }
 
@@ -1581,7 +1403,6 @@ impl Simplex {
         self.state[col] = VarState::Basic(row as u32);
         self.xb[row] = entering_value;
 
-        let mut ft_failed = false;
         match &mut self.repr {
             BasisRepr::Dense { binv } => {
                 // Elementary row update of B^{-1}: pivot row divided by
@@ -1612,26 +1433,10 @@ impl Simplex {
                 etas.push(row, &self.w);
                 self.eta_updates += 1;
             }
-            BasisRepr::SparseFt { ft } => {
-                // Forrest–Tomlin: rewrite column `row` of U in place from
-                // the entering column's spike. A rejected (numerically
-                // unstable) pivot falls back to an immediate
-                // refactorization below — the basis arrays already
-                // describe the post-pivot basis. The tolerance matches
-                // the refactorization's absolute pivot floor.
-                self.rowbuf.fill(0.0);
-                for (r, v) in self.a.col(col).iter() {
-                    self.rowbuf[r] = v;
-                }
-                match ft.update(row, &self.rowbuf, 1e-12, &mut self.lubuf) {
-                    Ok(()) => self.ft_spikes += 1,
-                    Err(_) => ft_failed = true,
-                }
-            }
         }
 
         self.pivots_since_refresh += 1;
-        if ft_failed || self.pivots_since_refresh >= self.opts.refresh_every {
+        if self.pivots_since_refresh >= self.opts.refresh_every {
             self.refresh()?;
         }
         Ok(())
@@ -1675,9 +1480,6 @@ impl Simplex {
             BasisRepr::Sparse { lu, .. } => {
                 // The eta file was just cleared; the factors alone are B.
                 lu.ftran(&resid, xb, lubuf);
-            }
-            BasisRepr::SparseFt { ft } => {
-                ft.ftran(&resid, xb, lubuf);
             }
         }
         Ok(())
@@ -2379,78 +2181,45 @@ mod tests {
     }
 
     #[test]
-    fn harris_ratio_matches_textbook() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        let opts = SolveOptions {
-            ratio: RatioTest::Harris,
-            verify: true,
-            ..SolveOptions::default()
+    fn auto_pricing_switches_to_devex_at_the_column_threshold() {
+        // Standard form has `n + m` columns (structural + one slack per
+        // row). One column below the threshold Auto prices by Dantzig
+        // sweeps; at the threshold, by devex. Moving the switch moves
+        // which tied vertex the paper LPs land on, so it is pinned here.
+        let m = 20;
+        let solve_auto = |cols: usize| {
+            let mut p = Problem::new(Sense::Maximize);
+            let n = cols - m;
+            let vars: Vec<_> = (0..n)
+                .map(|j| p.add_var(1.0 + ((j * 7) % 13) as f64, 0.0, 1.0))
+                .collect();
+            for i in 0..m {
+                let terms: Vec<_> = vars.iter().skip(i).step_by(m).map(|&v| (v, 1.0)).collect();
+                p.add_constraint(terms, Relation::Le, 5.0);
+            }
+            let opts = SolveOptions {
+                trace: true,
+                ..SolveOptions::default()
+            };
+            let s = p.solve_with(&opts).unwrap();
+            assert_eq!(s.trace().dropped, 0);
+            let primal: Vec<TracePricing> = s
+                .trace()
+                .records
+                .iter()
+                .map(|r| r.pricing)
+                .filter(|&pr| pr != TracePricing::Bland && pr != TracePricing::Dual)
+                .collect();
+            assert!(!primal.is_empty(), "expected primal pricing steps");
+            primal
         };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), reference.objective());
-        assert!(p.max_violation(s.values()) < 1e-6);
-    }
-
-    #[test]
-    fn harris_handles_degenerate_bases() {
-        // Beale again: heavily degenerate, so the Harris second pass
-        // repeatedly faces zero-length steps.
-        let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var(-0.75, 0.0, f64::INFINITY);
-        let x2 = p.add_var(150.0, 0.0, f64::INFINITY);
-        let x3 = p.add_var(-0.02, 0.0, f64::INFINITY);
-        let x4 = p.add_var(6.0, 0.0, f64::INFINITY);
-        p.add_constraint(
-            [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
+        let below = solve_auto(AUTO_DEVEX_MIN_COLS - 1);
+        assert!(
+            below.iter().all(|&pr| pr == TracePricing::Dantzig),
+            "{below:?}"
         );
-        p.add_constraint(
-            [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint([(x3, 1.0)], Relation::Le, 1.0);
-        let opts = SolveOptions {
-            ratio: RatioTest::Harris,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        assert_close(p.solve_with(&opts).unwrap().objective(), -0.05);
-    }
-
-    #[test]
-    fn forrest_tomlin_matches_product_form() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        // A long refresh cadence forces many in-place FT updates between
-        // refactorizations.
-        let opts = SolveOptions {
-            factor_update: FactorUpdate::ForrestTomlin,
-            refresh_every: 1000,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), reference.objective());
-        let st = s.stats();
-        assert!(st.ft_spikes > 0, "expected FT updates, got {st:?}");
-        assert_eq!(st.eta_updates, 0, "FT backend must not grow an eta file");
-    }
-
-    #[test]
-    fn forrest_tomlin_with_frequent_refresh() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        let opts = SolveOptions {
-            factor_update: FactorUpdate::ForrestTomlin,
-            refresh_every: 2,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), reference.objective());
+        let at = solve_auto(AUTO_DEVEX_MIN_COLS);
+        assert!(at.iter().all(|&pr| pr == TracePricing::Devex), "{at:?}");
     }
 
     /// A dense-ish random vector with exact zeros, negative zeros and
@@ -2629,8 +2398,9 @@ mod tests {
 
     #[test]
     fn engine_combination_agrees_across_warm_start_chain() {
-        // Devex + Harris + Forrest–Tomlin together, through the
-        // branch-and-bound-style tighten/re-solve pattern.
+        // Devex pricing through the branch-and-bound-style
+        // tighten/re-solve pattern: the one warm-start chain run under
+        // devex.
         let build = || {
             let mut p = Problem::new(Sense::Minimize);
             let vars: Vec<_> = (0..6)
@@ -2645,8 +2415,6 @@ mod tests {
         let (mut p, vars) = build();
         let opts = SolveOptions {
             pricing: Pricing::Devex,
-            ratio: RatioTest::Harris,
-            factor_update: FactorUpdate::ForrestTomlin,
             verify: true,
             ..SolveOptions::default()
         };

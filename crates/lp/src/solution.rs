@@ -36,12 +36,6 @@ pub struct SolveStats {
     /// Devex reference-framework resets (weights grew past the guard
     /// and restarted at 1; 0 unless devex pricing ran).
     pub devex_resets: usize,
-    /// Forrest–Tomlin column updates applied in place to the `U` factor
-    /// (0 unless [`crate::FactorUpdate::ForrestTomlin`] is selected).
-    pub ft_spikes: usize,
-    /// Harris ratio tests whose chosen exact ratio was negative and
-    /// clamped to a zero-length step (0 under the textbook rule).
-    pub harris_expansions: usize,
 }
 
 /// Which rule chose the entering column of a traced pivot.

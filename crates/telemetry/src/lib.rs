@@ -90,12 +90,6 @@ pub mod names {
     /// Counter: devex reference-framework resets (weights grew past the
     /// guard and restarted at 1).
     pub const LP_PRICING_DEVEX_RESETS: &str = "lp.pricing.devex_resets";
-    /// Counter: Forrest–Tomlin column updates applied in place to the
-    /// `U` factor (sparse LU backend with the FT update strategy).
-    pub const LP_LU_FT_SPIKES: &str = "lp.lu.ft_spikes";
-    /// Counter: Harris ratio tests whose chosen exact ratio was negative
-    /// and clamped to a zero-length step.
-    pub const LP_RATIO_HARRIS_EXPANSIONS: &str = "lp.ratio.harris_expansions";
     /// Counter: LP solves that reused a previous basis (warm starts).
     pub const LP_WARM_BASIS_REUSE: &str = "lp.warm.basis_reuse";
     /// Counter: LP solves started from scratch.
